@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"mtp/internal/cc"
@@ -75,8 +77,8 @@ type Sender struct {
 	dupAcks    int
 	lastAckNo  int64
 	srtt       time.Duration
-	segSentAt  map[int64]time.Duration // seq -> first-send time for RTT
-	globalAt   map[int64]int64         // local offset -> MPTCP global offset
+	sent       sentLog
+	globalAt   map[int64]int64 // local offset -> MPTCP global offset
 	rtxTimer   sim.Timer
 	inRecovery int64 // high-water seq during fast recovery; 0 when not
 
@@ -103,12 +105,11 @@ func NewSender(eng *sim.Engine, emit func(*simnet.Packet), cfg SenderConfig) *Se
 		}
 	}
 	s := &Sender{
-		cfg:       cfg,
-		eng:       eng,
-		emit:      emit,
-		algo:      algo,
-		rcvWnd:    1 << 40, // until the receiver advertises
-		segSentAt: make(map[int64]time.Duration),
+		cfg:    cfg,
+		eng:    eng,
+		emit:   emit,
+		algo:   algo,
+		rcvWnd: 1 << 40, // until the receiver advertises
 	}
 	if cfg.SkipHandshake {
 		s.established = true
@@ -174,7 +175,7 @@ func (s *Sender) pump() {
 		if s.closed && s.sndNxt+n == s.total {
 			seg.Fin = true
 		}
-		s.segSentAt[s.sndNxt] = s.eng.Now()
+		s.sent.add(s.sndNxt, s.eng.Now())
 		s.sndNxt += n
 		s.BytesSent += n
 		s.send(seg, int(n)+headerBytes)
@@ -218,19 +219,15 @@ func (s *Sender) OnPacket(pkt *simnet.Packet) {
 	if newly > 0 {
 		// RTT sample from the oldest acked segment (Karn: only if the ack
 		// covers a segment we recorded exactly once).
-		if t0, ok := s.segSentAt[s.sndUna]; ok {
-			sample := now - t0
+		if r := s.sent.find(s.sndUna); r != nil && !r.retx {
+			sample := now - r.at
 			if s.srtt == 0 {
 				s.srtt = sample
 			} else {
 				s.srtt = (7*s.srtt + sample) / 8
 			}
 		}
-		for seq := range s.segSentAt {
-			if seq < seg.AckNo {
-				delete(s.segSentAt, seq)
-			}
-		}
+		s.sent.dropBelow(seg.AckNo)
 		s.sndUna = seg.AckNo
 		s.dupAcks = 0
 		if s.inRecovery != 0 {
@@ -288,7 +285,9 @@ func (s *Sender) retransmitHead() {
 	if s.closed && s.sndUna+n == s.total {
 		seg.Fin = true
 	}
-	delete(s.segSentAt, s.sndUna) // Karn: no RTT sample from retransmits
+	if r := s.sent.find(s.sndUna); r != nil {
+		r.retx = true // Karn: no RTT sample from retransmits
+	}
 	s.SegsRetx++
 	s.send(seg, int(n)+headerBytes)
 	s.armRTO()
@@ -344,13 +343,79 @@ func (s *Sender) onRTO() {
 	s.dupAcks = 0
 	// Go-back-N: everything past the cumulative ACK point is presumed lost
 	// after a timeout (classic TCP without SACK); rewind and resend.
+	//
+	// Known deviation, kept because fixing it moves DCTCP's pinned figures:
+	// a cumulative ACK for bytes sent before this rewind can later land
+	// beyond the rewound sndNxt. sndUna then passes sndNxt and
+	// Outstanding() is negative until the next pump, so the OnAcked hook
+	// (the MPTCP striper, whose schedulers read Outstanding in sched.go)
+	// sees a negative in-flight count. That pump resends bytes that are
+	// already acknowledged and, because its window test sees negative
+	// in-flight bytes, a full window beyond sndUna on top of them. See
+	// DESIGN.md §10.
 	s.sndNxt = s.sndUna
-	for seq := range s.segSentAt {
-		delete(s.segSentAt, seq)
-	}
+	s.sent.reset()
 	s.pump()
 	s.armRTO()
 	if s.cfg.OnTimeout != nil {
 		s.cfg.OnTimeout(s.eng.Now())
 	}
+}
+
+// sentLog records each segment's first-send time for RTT sampling, ordered
+// by seq. Segments are recorded at sndNxt, which only moves back in onRTO,
+// and onRTO resets the log, so appending keeps it sorted. Acknowledged
+// records are dropped from the head.
+//
+// The record for sndUna need not be at the head: after a go-back-N rewind
+// a cumulative ACK can land beyond sndNxt, and pump then records segments
+// below sndUna. Lookups therefore binary-search the live records.
+type sentLog struct {
+	recs []sentRec
+	head int // recs[head:] are live
+}
+
+type sentRec struct {
+	seq  int64
+	at   time.Duration
+	retx bool // retransmitted: no RTT sample (Karn)
+}
+
+// add records a first send of seq at time at; seq must exceed every live
+// record's.
+func (l *sentLog) add(seq int64, at time.Duration) {
+	if l.head > 0 && len(l.recs) == cap(l.recs) && l.head >= len(l.recs)/2 {
+		// Reuse the acknowledged prefix instead of growing: the copy moves
+		// at most as many records as were dropped, so it is amortized O(1).
+		n := copy(l.recs, l.recs[l.head:])
+		l.recs = l.recs[:n]
+		l.head = 0
+	}
+	l.recs = append(l.recs, sentRec{seq: seq, at: at})
+}
+
+// find returns the live record for seq, or nil.
+func (l *sentLog) find(seq int64) *sentRec {
+	live := l.recs[l.head:]
+	i, ok := slices.BinarySearchFunc(live, seq, func(r sentRec, seq int64) int { return cmp.Compare(r.seq, seq) })
+	if !ok {
+		return nil
+	}
+	return &live[i]
+}
+
+// dropBelow forgets every record with seq < ack.
+func (l *sentLog) dropBelow(ack int64) {
+	for l.head < len(l.recs) && l.recs[l.head].seq < ack {
+		l.head++
+	}
+	if l.head == len(l.recs) {
+		l.reset()
+	}
+}
+
+// reset forgets every record.
+func (l *sentLog) reset() {
+	l.recs = l.recs[:0]
+	l.head = 0
 }

@@ -380,6 +380,9 @@ type inMsg struct {
 	// gapSince records when each hole below the receive high-water mark was
 	// first observed (reordering-tolerant NACK timing).
 	gapSince map[uint32]time.Duration
+	// scanned is the receive high-water mark: packets below it have been
+	// scanned for holes already.
+	scanned int
 }
 
 type ackBatch struct {
@@ -764,6 +767,7 @@ func (e *Endpoint) releaseInMsg(f *inMsg) {
 	f.synthtic = false
 	f.bytes = 0
 	f.lastSeen = 0
+	f.scanned = 0
 	clear(f.nacked)
 	clear(f.gapSince)
 	e.inMsgPool = append(e.inMsgPool, f)

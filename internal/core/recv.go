@@ -140,8 +140,12 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 	// packet number means loss on the message's path. Under policies that
 	// violate atomicity (packet spraying) this generates spurious
 	// retransmissions — the reordering penalty the paper describes.
+	//
+	// Only [scanned, pn) is walked: every hole below the watermark is
+	// already in gapSince, and leaves it only when its packet arrives or
+	// the message is released.
 	if !e.cfg.DisableNack {
-		for i := 0; i < pn; i++ {
+		for i := f.scanned; i < pn; i++ {
 			if !f.got[i] {
 				if _, seen := f.gapSince[uint32(i)]; !seen {
 					if f.gapSince == nil {
@@ -151,6 +155,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 				}
 			}
 		}
+		f.scanned = max(f.scanned, pn)
 		e.collectNacks(now, f, batch)
 	}
 

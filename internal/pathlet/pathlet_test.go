@@ -2,6 +2,7 @@ package pathlet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -154,19 +155,47 @@ func TestCanSend(t *testing.T) {
 	}
 }
 
+// TestExcludeList covers the exclusion bookkeeping: setting and clearing
+// are idempotent, the list is nil when nothing is excluded, sorted
+// otherwise, and every call returns a slice of its own (decoders reuse a
+// header's list in place).
 func TestExcludeList(t *testing.T) {
-	tb := newTable()
 	p1 := wire.PathTC{PathID: 5, TC: 1}
 	p2 := wire.PathTC{PathID: 2, TC: 0}
-	tb.SetExcluded(p1, true)
-	tb.SetExcluded(p2, true)
-	got := tb.ExcludeList()
-	if len(got) != 2 || got[0] != p2 || got[1] != p1 {
-		t.Fatalf("ExcludeList = %v", got)
+	p3 := wire.PathTC{PathID: 2, TC: 1}
+	type op struct {
+		p   wire.PathTC
+		set bool
 	}
-	tb.SetExcluded(p1, false)
-	if got := tb.ExcludeList(); len(got) != 1 || got[0] != p2 {
-		t.Fatalf("ExcludeList after clear = %v", got)
+	cases := []struct {
+		name string
+		ops  []op
+		want []wire.PathTC
+	}{
+		{"empty table", nil, nil},
+		{"clear of a pathlet never set", []op{{p1, false}}, nil},
+		{"set twice, clear once", []op{{p1, true}, {p1, true}, {p1, false}}, nil},
+		{"clear twice, then set another", []op{{p1, true}, {p1, false}, {p1, false}, {p2, true}}, []wire.PathTC{p2}},
+		{"sorted by pathlet then TC", []op{{p1, true}, {p3, true}, {p2, true}}, []wire.PathTC{p2, p3, p1}},
+		{"clear one of two", []op{{p1, true}, {p2, true}, {p1, false}}, []wire.PathTC{p2}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb := newTable()
+			for _, o := range c.ops {
+				tb.SetExcluded(o.p, o.set)
+			}
+			got := tb.ExcludeList()
+			if (got == nil) != (c.want == nil) || !slices.Equal(got, c.want) {
+				t.Fatalf("ExcludeList = %#v, want %#v", got, c.want)
+			}
+			if len(got) > 0 {
+				got[0] = wire.PathTC{PathID: 99}
+				if again := tb.ExcludeList(); !slices.Equal(again, c.want) {
+					t.Fatalf("ExcludeList shares its slice: %v after the caller wrote to it", again)
+				}
+			}
+		})
 	}
 }
 
